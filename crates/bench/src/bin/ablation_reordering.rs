@@ -15,11 +15,10 @@
 //!
 //! Load-balance statistics ([`LoadBalance`]) show *why*: even the LPT
 //! dealing cannot bound the per-thread maximum below the longest row; the
-//! merge path bounds every thread's work by construction. The `sched`
-//! columns show the engine's `Auto` policy reacting to exactly that: the
-//! clustered sorted-contiguous plan trips the span-skew threshold and
-//! runs under work stealing, the merge-path plan stays on the static
-//! fast path.
+//! merge path bounds every thread's work by construction. The `skew`
+//! column shows the engine's static-span skew at 4 workers reacting to
+//! exactly that: the clustered sorted-contiguous plan lands far above
+//! [`STEAL_SKEW_THRESHOLD`], the merge-path plan stays near 1.0.
 
 use std::time::Instant;
 
@@ -27,7 +26,7 @@ use mpspmm_bench::{banner, full_size_requested, load, time_ns, SEED};
 use mpspmm_core::analysis::LoadBalance;
 use mpspmm_core::{
     default_workers, ExecEngine, Flush, KernelPlan, MergePathSpmm, PreparedPlan, RowSplitSpmm,
-    Segment, SpmmKernel, ThreadPlan,
+    Segment, SpmmKernel, ThreadPlan, STEAL_SKEW_THRESHOLD,
 };
 use mpspmm_graphs::find_dataset;
 use mpspmm_sparse::reorder::{degree_sort_permutation, permute_rows};
@@ -65,7 +64,7 @@ fn main() {
     let dim = 16;
     let engine = ExecEngine::new(default_workers());
     println!(
-        "{:<16} {:>9} {:>10} {:>10} {:>8} {:>9} | {:>7} {:>7} {:>7} {:>7} | {:>5}",
+        "{:<16} {:>9} {:>10} {:>10} {:>8} {:>9} | {:>7} {:>7} {:>7} {:>7} | {:>9}",
         "Graph",
         "RS µs",
         "sortRS µs",
@@ -76,7 +75,7 @@ fn main() {
         "imb sRS",
         "imb LPT",
         "imb MP",
-        "sched"
+        "skew"
     );
     for name in SAMPLE {
         let (_, a) = load(find_dataset(name).expect("in Table II"), full);
@@ -109,33 +108,20 @@ fn main() {
         let lpt = micros(&lpt_plan, &sorted);
         let mp = micros(&mp_plan, &a);
 
-        // Which scheduler Auto picks for the pathological plan vs the
-        // merge-path one. Probed at 4 workers so the column stays
-        // meaningful on single-core hosts (where stealing never engages).
-        let probe = ExecEngine::with_sched_policy(
-            4,
-            mpspmm_core::DataPath::Vector,
-            mpspmm_core::SchedPolicy::Auto,
-        );
+        // Static-span skew of the pathological plan vs the merge-path
+        // one, at 4 workers so the column stays meaningful on hosts with
+        // fewer cores.
         let srs_prep = PreparedPlan::for_matrix(srs_plan.clone(), &sorted);
         let mp_prep = PreparedPlan::for_matrix(mp_plan.clone(), &a);
-        let sched = format!(
-            "{}/{}",
-            if probe.selects_stealing(&srs_prep) {
-                "st"
-            } else {
-                "su"
-            },
-            if probe.selects_stealing(&mp_prep) {
-                "st"
-            } else {
-                "su"
-            }
+        let skew = format!(
+            "{:.2}/{:.2}",
+            srs_prep.static_span_skew(4),
+            mp_prep.static_span_skew(4)
         );
 
         let imb = |plan: &KernelPlan| LoadBalance::of(plan).imbalance;
         println!(
-            "{name:<16} {rs:>9.1} {srs:>10.1} {lpt:>10.1} {sort_ms:>8.2} {mp:>9.1} | {:>7.1} {:>7.1} {:>7.2} {:>7.2} | {sched:>5}",
+            "{name:<16} {rs:>9.1} {srs:>10.1} {lpt:>10.1} {sort_ms:>8.2} {mp:>9.1} | {:>7.1} {:>7.1} {:>7.2} {:>7.2} | {skew:>9}",
             imb(&rs_plan),
             imb(&srs_plan),
             imb(&lpt_plan),
@@ -148,11 +134,11 @@ fn main() {
          balances the sums but still cannot split the longest row, so its \
          per-thread maximum stays unbounded. MergePath-SpMM reaches a \
          strictly tighter bound on the ORIGINAL matrix, with no sort cost \
-         and no permuted output to undo. `sched` = Auto's choice at 4 workers for the \
-         sorted-contiguous / merge-path plans (st = stealing, su = static): \
-         the engine's span-skew test flags exactly the plan the sort \
-         pathologized. Timings are real engine runs; on a single-core host \
-         the µs columns track total work, the imbalance columns and `sched` \
-         show what changes at higher worker counts."
+         and no permuted output to undo. `skew` = static-span nnz skew at 4 \
+         workers for the sorted-contiguous / merge-path plans (threshold \
+         {STEAL_SKEW_THRESHOLD}): the engine's span-skew test flags exactly \
+         the plan the sort pathologized. Timings are real engine runs; on a \
+         single-core host the µs columns track total work, the imbalance \
+         columns and `skew` show what changes at higher worker counts."
     );
 }

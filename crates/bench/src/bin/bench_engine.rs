@@ -10,9 +10,9 @@
 //! where `ns_per_nnz` is the engine's time and `speedup` is
 //! baseline-over-engine.
 //!
-//! The engine is pinned to [`DataPath::Tiled`] — the PR-1 register-tiled
-//! path — so this file stays a stable baseline for `bench_simd`, which
-//! measures the vectorized data path against it.
+//! The engine is pinned to [`DataPath::Scalar`] — the scalar oracle
+//! data path — so this file stays a stable baseline for `bench_simd`,
+//! which measures the vectorized data path against it.
 //!
 //! Also demonstrates the plan cache on a 2-layer GCN (10 inferences on a
 //! fixed graph epoch) and prints the observed hit rate.
@@ -48,10 +48,10 @@ fn main() {
         Box::new(NnzSplitSpmm::new()),
         Box::new(RowSplitSpmm::default()),
     ];
-    // Pinned to the register-tiled PR-1 data path: this harness is the
-    // stable baseline `bench_simd` measures the vectorized path against,
-    // so regenerating BENCH_engine.json must not absorb the SIMD work.
-    let engine = ExecEngine::with_data_path(1, DataPath::Tiled);
+    // Pinned to the scalar oracle data path: this harness is the stable
+    // baseline `bench_simd` measures the vectorized path against, so
+    // regenerating BENCH_engine.json must not absorb the SIMD work.
+    let engine = ExecEngine::with_data_path(1, DataPath::Scalar);
 
     println!(
         "\n{:<16} {:<16} {:>4} {:>12} {:>12} {:>9}",

@@ -1,7 +1,7 @@
-//! SIMD data-path benchmark — vectorized vs register-tiled engine paths.
+//! SIMD data-path benchmark — vectorized vs scalar engine paths.
 //!
-//! For the same Table II spread as `bench_engine`, times the PR-1
-//! register-tiled path ([`DataPath::Tiled`]) against the vectorized,
+//! For the same Table II spread as `bench_engine`, times the scalar
+//! oracle path ([`DataPath::Scalar`]) against the vectorized,
 //! cache-blocked path ([`DataPath::Vector`]) on identical prepared plans,
 //! single-core, at dimensions 16 and 32. Both sides run through
 //! [`ExecEngine::execute_prepared`], so the comparison isolates the inner
@@ -11,10 +11,9 @@
 //! When `BENCH_engine.json` (written by `bench_engine`, whose timed loop
 //! re-classifies the plan per call via `execute`) is present, the harness
 //! also reports the end-to-end improvement of the vectorized prepared
-//! path over that stored baseline — the number the PR acceptance gate
-//! reads. Writes `BENCH_simd.json` with one record per
-//! (dataset, kernel, dim):
-//! `{dataset, kernel, dim, ns_per_nnz, vs_tiled, vs_baseline}`.
+//! path over that stored baseline. Writes `BENCH_simd.json` with one
+//! record per (dataset, kernel, dim):
+//! `{dataset, kernel, dim, ns_per_nnz, vs_scalar, vs_baseline}`.
 
 use mpspmm_bench::{
     banner, full_size_requested, geomean, load, parse_bench_records, time_ns, BenchRecord,
@@ -38,7 +37,7 @@ fn main() {
     let full = full_size_requested();
     banner(
         "BENCH simd",
-        "register-tiled vs vectorized data path, single-core, dims {16, 32}",
+        "scalar vs vectorized data path, single-core, dims {16, 32}",
         full,
     );
 
@@ -56,15 +55,15 @@ fn main() {
         Box::new(NnzSplitSpmm::new()),
         Box::new(RowSplitSpmm::default()),
     ];
-    let tiled = ExecEngine::with_data_path(1, DataPath::Tiled);
+    let scalar = ExecEngine::with_data_path(1, DataPath::Scalar);
     let vector = ExecEngine::with_data_path(1, DataPath::Vector);
 
     println!(
         "\n{:<16} {:<16} {:>4} {:>11} {:>11} {:>9} {:>9}",
-        "Graph", "Kernel", "dim", "tiled/nnz", "simd/nnz", "vs tiled", "vs PR-1"
+        "Graph", "Kernel", "dim", "scalar/nnz", "simd/nnz", "vs scalar", "vs engine"
     );
     let mut records = Vec::new();
-    let mut vs_tiled_all = Vec::new();
+    let mut vs_scalar_all = Vec::new();
     let mut vs_baseline_all = Vec::new();
     for name in DATASETS {
         let spec = find(name);
@@ -78,14 +77,14 @@ fn main() {
                 // both paths — the GNN setting where the graph is fixed
                 // across inferences and preparation is amortized away.
                 let prep = PreparedPlan::for_matrix(kernel.plan(&a, dim), &a);
-                let tiled_ns = time_ns(2, 7, || {
-                    let _ = tiled.execute_prepared(&prep, &a, &b).unwrap();
+                let scalar_ns = time_ns(2, 7, || {
+                    let _ = scalar.execute_prepared(&prep, &a, &b).unwrap();
                 });
                 let simd_ns = time_ns(2, 7, || {
                     let _ = vector.execute_prepared(&prep, &a, &b).unwrap();
                 });
                 let ns_per_nnz = simd_ns / a.nnz() as f64;
-                let vs_tiled = tiled_ns / simd_ns;
+                let vs_scalar = scalar_ns / simd_ns;
                 let vs_base = baseline
                     .iter()
                     .find(|r| r.dataset == used.name && r.kernel == kernel.name() && r.dim == dim)
@@ -95,35 +94,35 @@ fn main() {
                     used.name,
                     kernel.name(),
                     dim,
-                    tiled_ns / a.nnz() as f64,
+                    scalar_ns / a.nnz() as f64,
                     ns_per_nnz,
-                    vs_tiled,
+                    vs_scalar,
                     vs_base.map_or_else(|| "-".into(), |v| format!("{v:.2}x")),
                 );
-                vs_tiled_all.push(vs_tiled);
+                vs_scalar_all.push(vs_scalar);
                 if let Some(v) = vs_base {
                     vs_baseline_all.push(v);
                 }
                 records.push(format!(
-                    "    {{\"dataset\": \"{}\", \"kernel\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_tiled\": {:.3}, \"vs_baseline\": {}}}",
+                    "    {{\"dataset\": \"{}\", \"kernel\": \"{}\", \"dim\": {}, \"ns_per_nnz\": {:.3}, \"vs_scalar\": {:.3}, \"vs_baseline\": {}}}",
                     used.name,
                     kernel.name(),
                     dim,
                     ns_per_nnz,
-                    vs_tiled,
+                    vs_scalar,
                     vs_base.map_or_else(|| "null".into(), |v| format!("{v:.3}")),
                 ));
             }
         }
     }
-    let g_tiled = geomean(&vs_tiled_all);
+    let g_scalar = geomean(&vs_scalar_all);
     let g_base = geomean(&vs_baseline_all);
-    println!("\ngeomean vs register-tiled path (same prepared plan): {g_tiled:.2}x");
+    println!("\ngeomean vs scalar path (same prepared plan): {g_scalar:.2}x");
     if vs_baseline_all.is_empty() {
-        println!("geomean vs PR-1 BENCH_engine.json baseline: n/a (no baseline records matched)");
+        println!("geomean vs BENCH_engine.json baseline: n/a (no baseline records matched)");
     } else {
         println!(
-            "geomean vs PR-1 BENCH_engine.json baseline ({} records): {g_base:.2}x",
+            "geomean vs BENCH_engine.json baseline ({} records): {g_base:.2}x",
             vs_baseline_all.len()
         );
     }
@@ -149,10 +148,10 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"baseline\": \"PR-1 tiled scalar data path, same engine\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_tiled\": {:.3},\n  \"geomean_vs_baseline\": {},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
-        g_tiled,
+        "{{\n  \"baseline\": \"scalar oracle data path, same engine and prepared plan\",\n  \"speedup\": {:.3},\n  \"results\": [\n{}\n  ],\n  \"geomean_vs_scalar\": {:.3},\n  \"geomean_vs_baseline\": {},\n  \"gather_bound_fraction_pubmed\": {:.3}\n}}\n",
+        g_scalar,
         records.join(",\n"),
-        g_tiled,
+        g_scalar,
         if vs_baseline_all.is_empty() {
             "null".into()
         } else {

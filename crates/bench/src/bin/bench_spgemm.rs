@@ -1,11 +1,10 @@
 //! SpGEMM benchmark — merge-path-balanced engine vs the sequential
 //! oracle.
 //!
-//! The container this harness usually runs in has a single hardware
-//! core, so multi-worker *wall* times cannot demonstrate the numeric
-//! phase's parallel win directly. The harness therefore follows the
-//! `bench_steal` approach: real single-worker executions are measured,
-//! and multi-worker totals are **modeled** from the engine's own chunk
+//! On a host with a single hardware core, multi-worker *wall* times
+//! cannot demonstrate the numeric phase's parallel win directly. The
+//! harness therefore measures real single-worker executions and
+//! **models** multi-worker totals from the engine's own chunk
 //! decomposition,
 //!
 //! * calibrating nanoseconds per merge item (`rows + flop upper bound`,

@@ -85,10 +85,6 @@ pub enum DataPath {
     Auto,
     /// Scalar per-column accumulation — the correctness oracle.
     Scalar,
-    /// The PR-1 register-tiled kernel (8/4-unrolled, `usize` indices, no
-    /// panel blocking). Kept selectable so benchmarks can regenerate the
-    /// PR-1 baseline on the same binary.
-    Tiled,
     /// Wide-lane streaming kernels with panel blocking, packed-index
     /// support, and degree-adaptive gather dispatch.
     Vector,
@@ -164,7 +160,6 @@ impl WideIsa {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PathKind {
     Scalar,
-    Tiled,
     Vector,
 }
 
@@ -182,7 +177,7 @@ pub(crate) struct ResolvedPath {
     /// FMA contraction permitted (FastMath): only ever `true` when the
     /// engine opted in **and** [`fastmath_supported`] proved the CPU can
     /// run the fma clones **and** the kernel family is `Vector` (the
-    /// scalar/tiled baselines stay exact unconditionally).
+    /// scalar oracle stays exact unconditionally).
     pub fastmath: bool,
 }
 
@@ -211,7 +206,6 @@ impl DataPath {
                 }
             }
             DataPath::Scalar => PathKind::Scalar,
-            DataPath::Tiled => PathKind::Tiled,
             DataPath::Vector => PathKind::Vector,
         };
         let lanes = LaneWidth::detect();
@@ -310,34 +304,6 @@ pub(crate) fn accumulate_segment_scalar<I: ColIdx>(
         }
         *slot = s;
     }
-}
-
-/// The PR-1 register-tiled kernel, re-expressed over the shared wide-lane
-/// blocks: unrolled blocks of 8 and 4 plus a scalar tail, full-width (no
-/// panel loop), `usize` indices. Arithmetic per column is unchanged from
-/// PR 1 — same block cascade, same accumulation order. `off` windows the
-/// source columns as in [`accumulate_segment_scalar`].
-#[inline]
-pub(crate) fn accumulate_segment_tiled(
-    seg: &Segment,
-    a: &CsrMatrix<f32>,
-    b: &DenseMatrix<f32>,
-    off: usize,
-    dst: &mut [f32],
-) {
-    let cols = a.col_indices();
-    let vals = a.values();
-    let dim = dst.len();
-    let mut d = 0;
-    while d + 8 <= dim {
-        stream_block::<8, false, _>(seg, cols, vals, b, off, d, dst);
-        d += 8;
-    }
-    if d + 4 <= dim {
-        stream_block::<4, false, _>(seg, cols, vals, b, off, d, dst);
-        d += 4;
-    }
-    tail_columns::<false, _>(seg, cols, vals, b, off, d..dim, dst);
 }
 
 /// One `W`-column register-accumulator block: `W` f32 accumulators live
@@ -587,7 +553,6 @@ pub(crate) fn accumulate_segment_dispatch(
         PathKind::Scalar => {
             accumulate_segment_scalar(seg, a.col_indices(), a.values(), b, off, dst);
         }
-        PathKind::Tiled => accumulate_segment_tiled(seg, a, b, off, dst),
         PathKind::Vector => match cols32 {
             Some(cols) => vector_segment(seg, cols, a.values(), b, off, dst, rp),
             None => vector_segment(seg, a.col_indices(), a.values(), b, off, dst, rp),
@@ -740,9 +705,9 @@ fn gemm_rows<const MR: usize>(
 }
 
 /// The `#[target_feature]` clones of [`gemm_rows_body`] and
-/// [`stream_segment_body`]. This is one of the four modules allowed out
-/// of the crate's `deny(unsafe_code)` (with [`crate::pool`],
-/// [`crate::steal`], and [`crate::stripe`]): calling a
+/// [`stream_segment_body`]. This is one of the three modules allowed out
+/// of the crate's `deny(unsafe_code)` (with [`crate::pool`] and
+/// [`crate::stripe`]): calling a
 /// `#[target_feature]` function is `unsafe` because executing it on a
 /// CPU without the feature is undefined behavior — here each call is
 /// gated on the matching `is_x86_feature_detected!` proof captured in
@@ -1203,8 +1168,6 @@ mod tests {
             for s in &segments {
                 let want = scalar_reference(s, &a, &b, dim);
                 let mut got = vec![f32::NAN; dim];
-                accumulate_segment_tiled(s, &a, &b, 0, &mut got);
-                assert_eq!(got, want, "tiled dim={dim} seg={s:?}");
                 for lanes in [LaneWidth::W8, LaneWidth::W16] {
                     for panel in [8usize, 16, 32, 1024] {
                         let rp = resolved(PathKind::Vector, lanes, panel);
@@ -1274,9 +1237,6 @@ mod tests {
                     accumulate_segment_scalar(s, a.col_indices(), a.values(), &b, lo, &mut got);
                     assert_eq!(got, want[lo..hi], "scalar window {lo}..{hi} dim={dim}");
                     got.fill(0.0);
-                    accumulate_segment_tiled(s, &a, &b, lo, &mut got);
-                    assert_eq!(got, want[lo..hi], "tiled window {lo}..{hi} dim={dim}");
-                    got.fill(0.0);
                     gather_segment(s, a.col_indices(), a.values(), &b, lo, &mut got);
                     assert_eq!(got, want[lo..hi], "gather window {lo}..{hi} dim={dim}");
                     for lanes in [LaneWidth::W8, LaneWidth::W16] {
@@ -1307,7 +1267,6 @@ mod tests {
         assert!(!DataPath::Vector.resolve(256).fastmath);
         // Non-vector kinds never enable it even when asked.
         assert!(!DataPath::Scalar.resolve_fast(256, true).fastmath);
-        assert!(!DataPath::Tiled.resolve_fast(256, true).fastmath);
         // The vector kind enables it iff the CPU proof holds.
         let rp = DataPath::Vector.resolve_fast(256, true);
         assert_eq!(rp.fastmath, fastmath_supported());
@@ -1343,7 +1302,6 @@ mod tests {
     #[test]
     fn resolve_honors_explicit_paths_and_panel_model() {
         assert_eq!(DataPath::Scalar.resolve(32).kind, PathKind::Scalar);
-        assert_eq!(DataPath::Tiled.resolve(32).kind, PathKind::Tiled);
         assert_eq!(DataPath::Vector.resolve(32).kind, PathKind::Vector);
         let auto = DataPath::Auto.resolve(32).kind;
         if cfg!(feature = "force-scalar") {
@@ -1375,7 +1333,7 @@ mod tests {
         prefetch_segment_rows(&rp, Some(&s), &a, None, &b, 0);
         prefetch_segment_rows(&rp, Some(&s), &a, Some(&cols32), &b, 0);
         prefetch_segment_rows(&rp, None, &a, None, &b, 4);
-        let tiled = DataPath::Tiled.resolve(8);
-        prefetch_segment_rows(&tiled, Some(&s), &a, None, &b, 0);
+        let scalar = DataPath::Scalar.resolve(8);
+        prefetch_segment_rows(&scalar, Some(&s), &a, None, &b, 0);
     }
 }

@@ -11,10 +11,11 @@
 //!
 //! * `Static` — one contiguous band span per worker, carved with
 //!   `split_at_mut`;
-//! * `Stealing` / `Auto` — bands self-schedule off a shared atomic
-//!   counter, so a worker that drew cheap bands simply takes more. (GEMM
-//!   bands are uniform-cost, so `Auto` needs no skew inspection here —
-//!   self-scheduling is the strictly-safer default.)
+//! * `Auto` (and `ColumnStriped`, which only stripes SpMM) — bands
+//!   self-schedule off a shared atomic counter, so a worker that drew
+//!   cheap bands simply takes more. (GEMM bands are uniform-cost, so
+//!   `Auto` needs no skew inspection here — self-scheduling is the
+//!   strictly-safer default.)
 //!
 //! Distribution is safe code throughout (the only `unsafe` on this path
 //! is the runtime-gated `#[target_feature]` dispatch in
@@ -256,11 +257,7 @@ mod tests {
     #[test]
     fn engine_gemm_matches_naive_bitwise_across_paths_and_policies() {
         for &path in &[DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
-            for &policy in &[
-                SchedPolicy::Static,
-                SchedPolicy::Stealing,
-                SchedPolicy::Auto,
-            ] {
+            for &policy in &[SchedPolicy::Static, SchedPolicy::Auto] {
                 for &workers in &[1usize, 4] {
                     let engine = ExecEngine::with_sched_policy(workers, path, policy);
                     for &(m, k, n) in &[(1, 1, 1), (5, 3, 7), (37, 19, 23), (70, 16, 33)] {

@@ -40,11 +40,9 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-// `deny` rather than `forbid`: exactly four modules opt back in — the
+// `deny` rather than `forbid`: exactly three modules opt back in — the
 // worker pool (`pool.rs`), for one lifetime-erasure transmute with a
-// documented completion-barrier argument; the stealing scheduler
-// (`steal.rs`), for the raw-pointer output view whose row-exclusivity
-// argument is documented there; the column-striped executor
+// documented completion-barrier argument; the column-striped executor
 // (`stripe.rs`), for the raw-pointer output view whose column-window
 // disjointness argument is documented there; and the wide-ISA kernel
 // clones (`datapath::wide`), whose `#[target_feature]` calls are gated
@@ -68,9 +66,7 @@ pub mod spgemm;
 pub mod spmm;
 pub mod spmv;
 mod stats;
-mod steal;
 mod stripe;
-pub mod tuner;
 pub mod tuning;
 
 pub use batch::BatchShapeClass;
@@ -94,15 +90,11 @@ pub use spmm::{
     MergePathSpmm, NeighborPartitionIndex, NnzSplitSpmm, RowSplitSpmm, SerialSpmm, SpmmKernel,
     BATCH_MIN_THREADS,
 };
-pub use stats::{SpgemmStats, TunerStats, WriteStats};
-pub use tuner::{
-    arm_space, spgemm_arm_space, ArmConfig, AutoTuner, GraphFingerprint, TuneState, CALIB_HEADER,
-};
+pub use stats::{SpgemmStats, WriteStats};
 pub use tuning::{
     default_cost_for_dim, gemm_kc, panel_cols, stripe_panel_cols, thread_count, CacheModel,
     SimdMapping, GATHER_MAX_NNZ, GEMM_BAND_ROWS, GEMM_MR, GPU_SIMD_LANES, MIN_THREADS,
     PAR_APPLY_MIN_LEN, SPGEMM_DENSE_FILL_DIV, SPGEMM_HASH_MIN_SLOTS, SPGEMM_MERGE_MAX_WAYS,
     SPGEMM_MERGE_SCAN_MAX_WAYS, STEAL_CHUNKS_PER_WORKER, STEAL_SKEW_THRESHOLD, STRIPE_MIN_DIM,
-    STRIPE_SKEW_MIN_DIM, TUNE_HALF_PANEL_MIN_DIM, TUNE_MEASURES_PER_ARM, TUNE_STEAL_MIN_SKEW_Q,
-    TUNE_STRIPE_MIN_DIM, TUNE_TILED_MAX_DIM,
+    STRIPE_SKEW_MIN_DIM,
 };

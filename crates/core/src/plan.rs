@@ -159,9 +159,7 @@ impl KernelPlan {
         self.threads.len()
     }
 
-    /// Total non-zeros the plan's threads cover — one of the raw
-    /// features the auto-tuner's [`GraphFingerprint`](crate::tuner::GraphFingerprint)
-    /// quantizes.
+    /// Total non-zeros the plan's threads cover.
     pub fn nnz_total(&self) -> usize {
         self.threads.iter().map(ThreadPlan::nnz).sum()
     }
@@ -263,19 +261,17 @@ impl KernelPlan {
     }
 }
 
-/// A unit of stealable work: a contiguous block of *logical threads* of a
-/// [`KernelPlan`], plus the non-zeros it covers.
+/// A unit of self-scheduled work: a contiguous block of *logical threads*
+/// (or, for SpGEMM, output rows) plus the non-zeros it covers.
 ///
-/// The work-stealing engine ([`crate::ExecEngine`] with
-/// [`crate::SchedPolicy::Stealing`]) does not schedule logical threads
-/// individually — a plan routinely has thousands — nor whole static worker
-/// spans, which is exactly the coarse assignment stealing is meant to fix.
-/// Instead the plan is pre-split into ~4–8× more chunks than workers, each
-/// nnz-balanced by running the *same* merge-path search that balances the
-/// plan itself, one level up: list A becomes the per-thread cumulative nnz
-/// end offsets ("finish a logical thread"), list B the non-zeros. Chunk
-/// boundaries therefore always land on logical-thread boundaries, so every
-/// chunk inherits the plan's flush annotations unchanged.
+/// SpGEMM's numeric phase ([`crate::ExecEngine::spgemm`]) schedules
+/// neither single rows — a matrix routinely has millions — nor whole
+/// static worker spans, where one power-law hub row can serialize a
+/// worker. Instead the work is pre-split into ~4–8× more chunks than
+/// workers, each balanced by running the *same* merge-path search that
+/// balances an SpMM plan, one level up: list A becomes the cumulative nnz
+/// end offsets ("finish a thread/row"), list B the non-zeros. Chunk
+/// boundaries therefore always land on thread (row) boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkDesc {
     /// First logical thread of the chunk (inclusive).
@@ -351,13 +347,12 @@ pub fn chunk_threads(thread_nnz_ends: &[usize], target: usize) -> Vec<ChunkDesc>
 /// spans are the `ceil(threads / workers)`-sized contiguous logical-thread
 /// blocks of the static scheduler.
 ///
-/// This is the imbalance the work-stealing scheduler can recover, and the
-/// signal [`crate::SchedPolicy::Auto`] thresholds on: merge-path plans are
-/// nnz-balanced per *logical thread*, so their static spans stay near 1.0
-/// and keep the bit-identical static fast path, while row-split plans on
-/// power-law graphs can concentrate hub rows into one span and push the
-/// skew far above it. Returns 1.0 (no skew) for degenerate inputs (≤ 1
-/// worker, no threads, no non-zeros).
+/// This is the signal [`crate::SchedPolicy::Auto`] thresholds on to
+/// stripe skewed plans from a lower dense dimension: merge-path plans are
+/// nnz-balanced per *logical thread*, so their static spans stay near 1.0,
+/// while row-split plans on power-law graphs can concentrate hub rows into
+/// one span and push the skew far above it. Returns 1.0 (no skew) for
+/// degenerate inputs (≤ 1 worker, no threads, no non-zeros).
 pub fn static_span_skew(thread_nnz_ends: &[usize], workers: usize) -> f64 {
     let threads = thread_nnz_ends.len();
     let total = thread_nnz_ends.last().copied().unwrap_or(0);

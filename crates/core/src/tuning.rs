@@ -19,22 +19,24 @@ pub const MIN_THREADS: usize = 1024;
 /// where per-panel loop restarts cost more than the segment's arithmetic.
 pub const GATHER_MAX_NNZ: usize = 4;
 
-/// Stealable chunks carved per worker by the work-stealing scheduler.
+/// Chunks carved per worker by SpGEMM's self-scheduled numeric phase
+/// ([`crate::ExecEngine::spgemm`]).
 ///
-/// The plan is pre-split into `workers × this` nnz-balanced
-/// [`ChunkDesc`](crate::ChunkDesc)s (capped at one logical thread per
-/// chunk): enough granularity that an idle worker can always relieve the
-/// critical path, few enough that deque traffic stays negligible next to
-/// a chunk's arithmetic. 4–8 is the classic work-stealing sweet spot; 6
-/// measured best on the power-law suite.
+/// The rows are pre-split into `workers × this` flop-balanced
+/// [`ChunkDesc`](crate::ChunkDesc)s (capped at one row per chunk):
+/// enough granularity that an idle worker can always relieve the
+/// critical path, few enough that the shared cursor's traffic stays
+/// negligible next to a chunk's arithmetic.
 pub const STEAL_CHUNKS_PER_WORKER: usize = 6;
 
 /// Static-span nnz skew (max/mean, see
 /// [`static_span_skew`](crate::static_span_skew)) above which
-/// [`SchedPolicy::Auto`](crate::SchedPolicy) switches from the static
-/// scheduler to work stealing. Merge-path plans sit at ~1.0–1.13 and stay
-/// on the bit-identical static fast path; clustered row-split plans on
-/// power-law graphs exceed this by multiples.
+/// [`SchedPolicy::Auto`](crate::SchedPolicy) stripes already from
+/// [`STRIPE_SKEW_MIN_DIM`] columns instead of [`STRIPE_MIN_DIM`].
+/// Merge-path plans sit at ~1.0–1.13 and never cross it; clustered
+/// row-split plans on power-law graphs exceed it by multiples. Below the
+/// striping dims a skewed plan runs the static pooled path, whose strip
+/// fold gives the same bits on every run at a given worker count.
 pub const STEAL_SKEW_THRESHOLD: f64 = 1.25;
 
 /// Dense dimension at or above which [`SchedPolicy::Auto`](crate::SchedPolicy)
@@ -49,44 +51,10 @@ pub const STRIPE_MIN_DIM: usize = 128;
 /// Dense dimension from which [`SchedPolicy::Auto`](crate::SchedPolicy)
 /// selects column striping when the static partition is *also* skewed
 /// (`static_span_skew` above [`STEAL_SKEW_THRESHOLD`]): striping fixes the
-/// imbalance bit-exactly — every worker walks the same non-zeros — without
-/// the stealing scheduler's serial fix-up replay, whose cost scales with
+/// imbalance bit-exactly — every worker walks the same non-zeros — and
+/// drops the static path's serial carry replay, whose cost scales with
 /// the dense dimension.
 pub const STRIPE_SKEW_MIN_DIM: usize = 96;
-
-/// Measurements the online auto-tuner takes of every surviving arm per
-/// successive-halving round (see `crate::tuner`). Two samples per round
-/// keep one cold-cache outlier from killing a good arm while bounding
-/// total exploration at roughly `4 × arms` executions.
-pub const TUNE_MEASURES_PER_ARM: u32 = 2;
-
-/// Quantized static-span skew (eighth-steps above 1.0, the
-/// [`GraphFingerprint`](crate::GraphFingerprint) encoding) at or above
-/// which the auto-tuner includes a work-stealing arm in the
-/// configuration space. One eighth (~1.06 raw skew) sits well below the
-/// static [`STEAL_SKEW_THRESHOLD`]: the tuner *measures* instead of
-/// trusting the constant, so it explores stealing on mildly skewed
-/// plans the heuristic would never try.
-pub const TUNE_STEAL_MIN_SKEW_Q: u8 = 1;
-
-/// Dense dimension at or above which the auto-tuner includes a
-/// column-striped arm. Far below the heuristic [`STRIPE_MIN_DIM`] for
-/// the same reason as [`TUNE_STEAL_MIN_SKEW_Q`]: measurement replaces
-/// the threshold, the bound only prunes shapes where the per-stripe
-/// index re-walk cannot possibly amortize.
-pub const TUNE_STRIPE_MIN_DIM: usize = 32;
-
-/// Dense dimension at or below which the auto-tuner includes a
-/// register-tiled ([`DataPath::Tiled`](crate::DataPath)) arm: at tiny
-/// dims the tiled kernel's lack of panel machinery occasionally wins,
-/// while at panel-sized dims it never does.
-pub const TUNE_TILED_MAX_DIM: usize = 32;
-
-/// Dense dimension at or above which the auto-tuner adds a half-panel
-/// variant of the vectorized arm (panel width halved, lane-aligned).
-/// Below this the default panel already covers the dim in one sweep and
-/// halving it is pure loop overhead.
-pub const TUNE_HALF_PANEL_MIN_DIM: usize = 64;
 
 /// Register-tile height of the engine's dense GEMM microkernel: this
 /// many `A` rows share every loaded `B` row panel, so each `B` element
@@ -96,8 +64,8 @@ pub const TUNE_HALF_PANEL_MIN_DIM: usize = 64;
 pub const GEMM_MR: usize = 4;
 
 /// Rows per work unit of the engine's parallel GEMM. Bands are dealt to
-/// pool workers (self-scheduled under `Auto`/`Stealing`, contiguous
-/// spans under `Static`); 32 rows amortize the per-band dispatch while
+/// pool workers (self-scheduled under `Auto`, contiguous spans under
+/// `Static`); 32 rows amortize the per-band dispatch while
 /// keeping `workers × several` bands available for balancing on
 /// GNN-sized matrices.
 pub const GEMM_BAND_ROWS: usize = 32;

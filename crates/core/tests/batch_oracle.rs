@@ -79,10 +79,9 @@ proptest! {
             .zip(&feats)
             .map(|(g, x)| sequential_reference(g, x, dim))
             .collect();
-        for path in [DataPath::Scalar, DataPath::Tiled, DataPath::Vector] {
+        for path in [DataPath::Scalar, DataPath::Vector] {
             for policy in [
                 SchedPolicy::Static,
-                SchedPolicy::Stealing,
                 SchedPolicy::ColumnStriped,
                 SchedPolicy::Auto,
             ] {
@@ -183,7 +182,6 @@ fn resolved_worker_count_packed_batch_bit_matches_oracle() {
     );
     for policy in [
         SchedPolicy::Static,
-        SchedPolicy::Stealing,
         SchedPolicy::ColumnStriped,
         SchedPolicy::Auto,
     ] {

@@ -1,10 +1,10 @@
 //! Fused-pipeline oracle: for every layer type, data path, scheduling
 //! policy, and worker count, the fused cached forward pass must agree
 //! with an unfused composition of the same engine primitives — **bit-**
-//! identically wherever the engine run is deterministic (one worker, or
-//! the stealing scheduler's serial-replay guarantee at any count), and
-//! to tolerance on the one nondeterministic configuration (static
-//! multi-worker, whose shared-row CAS ordering may reassociate sums).
+//! identically wherever the engine run follows the sequential per-column
+//! addition order (one worker, or the column-striped scheduler at any
+//! count), and to tolerance on the static multi-worker configuration,
+//! whose strip fold reassociates shared-row sums.
 //!
 //! Every fused output is additionally checked against the seed
 //! `forward` path (naive GEMM + plain kernel SpMM + separate epilogue
@@ -24,14 +24,13 @@ fn graph() -> CsrMatrix<f32> {
     DatasetSpec::custom("fused", GraphClass::PowerLaw, NODES, 600, 40).synthesize(9)
 }
 
-/// A run is bit-deterministic when it either has no cross-worker write
-/// ordering at all (one worker), replays every order-sensitive flush
-/// serially (the stealing scheduler, at any worker count), or
+/// A run follows the sequential per-column addition order when it
+/// either has no cross-worker write ordering at all (one worker), or
 /// partitions output *columns* so every worker replays the full plan
 /// walk over a disjoint window (the column-striped scheduler, at any
 /// worker count).
 fn deterministic(policy: SchedPolicy, workers: usize) -> bool {
-    workers == 1 || policy == SchedPolicy::Stealing || policy == SchedPolicy::ColumnStriped
+    workers == 1 || policy == SchedPolicy::ColumnStriped
 }
 
 fn worker_counts() -> Vec<usize> {
@@ -43,17 +42,8 @@ fn worker_counts() -> Vec<usize> {
 
 fn engine_matrix() -> Vec<(DataPath, SchedPolicy, usize)> {
     let mut m = Vec::new();
-    for path in [
-        DataPath::Scalar,
-        DataPath::Tiled,
-        DataPath::Vector,
-        DataPath::Auto,
-    ] {
-        for policy in [
-            SchedPolicy::Static,
-            SchedPolicy::Stealing,
-            SchedPolicy::ColumnStriped,
-        ] {
+    for path in [DataPath::Scalar, DataPath::Vector, DataPath::Auto] {
+        for policy in [SchedPolicy::Static, SchedPolicy::ColumnStriped] {
             for &w in &worker_counts() {
                 m.push((path, policy, w));
             }
@@ -293,7 +283,7 @@ fn fused_batched_forward_matches_per_request() {
     ]);
     let kernel = MergePathSpmm::new();
     for workers in [1usize, 4] {
-        let engine = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Stealing);
+        let engine = ExecEngine::with_sched_policy(workers, DataPath::Auto, SchedPolicy::Static);
         let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
         let blocks: Vec<DenseMatrix<f32>> = (0..3)
             .map(|i| random_features(NODES, IN_DIM, 0.4, 70 + i))
@@ -309,7 +299,7 @@ fn fused_batched_forward_matches_per_request() {
             assert_eq!(
                 out.max_abs_diff(&solo[0]).unwrap(),
                 0.0,
-                "batched fused (stealing, workers={workers}) must be exact vs solo"
+                "batched fused (static, workers={workers}) must be exact vs solo"
             );
             let plain = model.forward(&a, x, &kernel).unwrap();
             assert!(out.approx_eq(&plain, 1e-4).unwrap(), "seed sanity");

@@ -67,9 +67,7 @@ mod stats;
 
 pub use error::ServeError;
 pub use registry::{GraphRegistry, ServedGraph, DEFAULT_PLAN_DIM};
-pub use stats::{
-    GraphShardStats, GraphTuneStatus, LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS,
-};
+pub use stats::{GraphShardStats, LatencySummary, ServeStats, TenantStats, BATCH_HIST_BUCKETS};
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -553,15 +551,13 @@ impl Server {
             .register_sharded(name, adjacency, model.map(Arc::new), shards, total_workers)
     }
 
-    /// Snapshot of the serving counters, including the engine's and —
-    /// when the engine carries an auto-tuner — the per-graph tuning
-    /// progress.
+    /// Snapshot of the serving counters, including the engine's and the
+    /// per-shard counters of every sharded graph.
     pub fn stats(&self) -> ServeStats {
         let depth = self.shared.queue.lock().unwrap().len();
         self.shared.stats.snapshot(
             depth,
             self.shared.engine.stats(),
-            self.registry.tune_statuses(),
             self.registry.shard_statuses(),
         )
     }

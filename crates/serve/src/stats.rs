@@ -136,13 +136,12 @@ impl StatsCollector {
     }
 
     /// Snapshot of everything, with `queue_depth`, the engine counters,
-    /// and the per-graph auto-tuner statuses supplied by the server
-    /// (they live outside this collector).
+    /// and the per-graph shard counters supplied by the server (they
+    /// live outside this collector).
     pub fn snapshot(
         &self,
         queue_depth: usize,
         engine: EngineStats,
-        tuned_graphs: Vec<GraphTuneStatus>,
         sharded_graphs: Vec<GraphShardStats>,
     ) -> ServeStats {
         let latency = {
@@ -211,7 +210,6 @@ impl StatsCollector {
             queue_depth,
             latency,
             engine,
-            tuned_graphs,
             sharded_graphs,
             tenants,
         }
@@ -231,22 +229,6 @@ pub struct GraphShardStats {
     /// Per-shard shape facts and queue-depth/served counters, in
     /// row-band order.
     pub shards: Vec<mpspmm_core::ShardQueueStats>,
-}
-
-/// Auto-tuner progress of one routed graph, reported only when the
-/// serving engine carries an [`AutoTuner`](mpspmm_core::AutoTuner).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphTuneStatus {
-    /// Registered graph name.
-    pub graph: String,
-    /// Routed version the status describes.
-    pub version: u64,
-    /// Whether the plan's explorer has settled on a measured winner
-    /// (warm-started plans are converged from the first request).
-    pub converged: bool,
-    /// Measured executions spent exploring this plan's arm space
-    /// (0 for a warm start).
-    pub explorations: u64,
 }
 
 /// Latency percentiles over the recent sample window, in microseconds.
@@ -336,20 +318,14 @@ pub struct ServeStats {
     pub queue_depth: usize,
     /// Submit→reply latency percentiles over the recent window.
     pub latency: LatencySummary,
-    /// Per-graph auto-tuner progress (empty on an untuned engine). The
-    /// engine-wide exploration counters — arms measured, exploration
-    /// wall time, excess over the incumbent — are in
-    /// [`engine.tuner`](mpspmm_core::TunerStats).
-    pub tuned_graphs: Vec<GraphTuneStatus>,
     /// Per-shard routing counters of every routed sharded graph, sorted
     /// by name (empty when nothing is registered via
     /// `register_sharded`).
     pub sharded_graphs: Vec<GraphShardStats>,
     /// The engine's counters (plan-cache hits/misses/evictions,
-    /// gather/stream dispatch, work-stealing chunks/steals, column
-    /// stripes executed, GEMM k-blocks, FastMath runs, buffer-arena
-    /// reuse, SpGEMM rows per accumulator class and phase times),
-    /// threaded through for one-stop telemetry.
+    /// gather/stream dispatch, column stripes executed, GEMM k-blocks,
+    /// FastMath runs, buffer-arena reuse, SpGEMM rows per accumulator
+    /// class and phase times), threaded through for one-stop telemetry.
     pub engine: EngineStats,
     /// Per-tenant breakdown, sorted by tenant name.
     pub tenants: Vec<TenantStats>,
@@ -407,7 +383,7 @@ mod tests {
         for i in 0..(LATENCY_WINDOW + 10) {
             c.record_latencies(std::iter::once(std::time::Duration::from_nanos(i as u64)));
         }
-        let snap = c.snapshot(0, EngineStats::default(), Vec::new(), Vec::new());
+        let snap = c.snapshot(0, EngineStats::default(), Vec::new());
         assert_eq!(snap.latency.samples, LATENCY_WINDOW);
     }
 
@@ -419,7 +395,7 @@ mod tests {
         assert!(Arc::ptr_eq(&t, &c.tenant("a")), "tenant state is shared");
         c.record_batch(4, 16, false);
         c.record_batch(2, 8, true);
-        let snap = c.snapshot(5, EngineStats::default(), Vec::new(), Vec::new());
+        let snap = c.snapshot(5, EngineStats::default(), Vec::new());
         assert_eq!(snap.batches, 2);
         assert_eq!(snap.degraded_batches, 1);
         assert_eq!(snap.batched_cols, 24);

@@ -66,6 +66,21 @@ fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
     Ok(u64::from_le_bytes(buf))
 }
 
+/// Elements reserved per array before any of its bytes arrive. Header
+/// counts are untrusted: a hostile `nnz` must fail on the short body, not
+/// abort the process on one giant up-front allocation, so past this the
+/// vectors grow as data streams in.
+const MAX_PREALLOC: usize = 1 << 16;
+
+fn invalid_header(msg: &str) -> IoError {
+    IoError::Io(std::io::Error::new(std::io::ErrorKind::InvalidData, msg))
+}
+
+/// Reads a header count, rejecting values that do not fit in `usize`.
+fn read_count(r: &mut impl Read) -> Result<usize, IoError> {
+    usize::try_from(read_u64(r)?).map_err(|_| invalid_header("header count exceeds usize"))
+}
+
 /// Writes a matrix to `w` in the MPSM v1 binary format.
 ///
 /// A mutable reference to any writer can be passed (`&mut file`).
@@ -97,8 +112,9 @@ pub fn write_csr<W: Write>(mut w: W, matrix: &CsrMatrix<f32>) -> Result<(), IoEr
 ///
 /// # Errors
 ///
-/// Returns [`IoError`] on I/O failure, wrong magic/version, or invalid
-/// decoded structure.
+/// Returns [`IoError`] on I/O failure, wrong magic/version, a header
+/// count that cannot be addressed, a body shorter than its header
+/// declares, or invalid decoded structure.
 pub fn read_csr<R: Read>(mut r: R) -> Result<CsrMatrix<f32>, IoError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -111,18 +127,21 @@ pub fn read_csr<R: Read>(mut r: R) -> Result<CsrMatrix<f32>, IoError> {
     if version != VERSION {
         return Err(IoError::BadVersion(version));
     }
-    let rows = read_u64(&mut r)? as usize;
-    let cols = read_u64(&mut r)? as usize;
-    let nnz = read_u64(&mut r)? as usize;
-    let mut row_ptr = Vec::with_capacity(rows + 1);
-    for _ in 0..=rows {
-        row_ptr.push(read_u64(&mut r)? as usize);
+    let rows = read_count(&mut r)?;
+    let cols = read_count(&mut r)?;
+    let nnz = read_count(&mut r)?;
+    let ptr_len = rows
+        .checked_add(1)
+        .ok_or_else(|| invalid_header("row count overflows the row-pointer length"))?;
+    let mut row_ptr = Vec::with_capacity(ptr_len.min(MAX_PREALLOC));
+    for _ in 0..ptr_len {
+        row_ptr.push(read_count(&mut r)?);
     }
-    let mut col_indices = Vec::with_capacity(nnz);
+    let mut col_indices = Vec::with_capacity(nnz.min(MAX_PREALLOC));
     for _ in 0..nnz {
-        col_indices.push(read_u64(&mut r)? as usize);
+        col_indices.push(read_count(&mut r)?);
     }
-    let mut values = Vec::with_capacity(nnz);
+    let mut values = Vec::with_capacity(nnz.min(MAX_PREALLOC));
     let mut fbuf = [0u8; 4];
     for _ in 0..nnz {
         r.read_exact(&mut fbuf)?;
@@ -188,6 +207,50 @@ mod tests {
             read_csr(buf.as_slice()).unwrap_err(),
             IoError::Io(_)
         ));
+    }
+
+    /// A valid magic + version + (`rows`, `cols`, `nnz`) header followed
+    /// by `body` bytes.
+    fn header(rows: u64, cols: u64, nnz: u64, body: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        for v in [rows, cols, nnz] {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        buf.extend_from_slice(body);
+        buf
+    }
+
+    #[test]
+    fn huge_nnz_header_with_short_body_is_an_error_not_an_abort() {
+        // 56 bytes: header, a two-entry row pointer and one column index
+        // out of the 2^40 the header declares.
+        let mut body = Vec::new();
+        for p in [0u64, 0, 0] {
+            body.extend_from_slice(&p.to_le_bytes());
+        }
+        let buf = header(1, 1, 1 << 40, &body);
+        assert_eq!(buf.len(), 56);
+        assert!(matches!(
+            read_csr(buf.as_slice()).unwrap_err(),
+            IoError::Io(_)
+        ));
+    }
+
+    #[test]
+    fn huge_rows_header_with_short_body_is_an_error() {
+        let buf = header(1 << 40, 1, 0, &0u64.to_le_bytes());
+        assert!(matches!(
+            read_csr(buf.as_slice()).unwrap_err(),
+            IoError::Io(_)
+        ));
+        // rows + 1 overflows usize: rejected before reading the body.
+        let err = read_csr(header(u64::MAX, 1, 0, &[]).as_slice()).unwrap_err();
+        match err {
+            IoError::Io(e) => assert_eq!(e.kind(), std::io::ErrorKind::InvalidData),
+            other => panic!("expected InvalidData, got {other:?}"),
+        }
     }
 
     #[test]

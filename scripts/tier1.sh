@@ -4,18 +4,15 @@
 # benchmark artifacts.
 #
 # Usage: scripts/tier1.sh
-# Emits BENCH_engine.json (register-tiled baseline), BENCH_simd.json
+# Emits BENCH_engine.json (scalar data path baseline), BENCH_simd.json
 # (vectorized data path vs that baseline), BENCH_serve.json (serving
-# layer, smoke shape), BENCH_steal.json (scheduler comparison, smoke
-# shape), BENCH_fused.json (fused GCN pipeline vs unfused, smoke
-# shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
-# the pre-revision data path, smoke shape), BENCH_autotune.json
-# (measured arm selection vs hand-pinned configs, smoke shape),
-# BENCH_spgemm.json (CSR x CSR engine vs the sequential oracle, smoke
-# shape), BENCH_batch.json (block-diagonal mega-batching vs
-# per-request serving, smoke shape), and BENCH_shard.json (multi-shard
-# scale-out vs one engine, smoke shape) in the repository root, then
-# validates their common schema.
+# layer, smoke shape), BENCH_fused.json (fused GCN pipeline vs unfused,
+# smoke shape), BENCH_widedim.json (wide-feature-dim layer pipeline vs
+# the pre-revision data path, smoke shape), BENCH_spgemm.json (CSR x CSR
+# engine vs the sequential oracle, smoke shape), BENCH_batch.json
+# (block-diagonal mega-batching vs per-request serving, smoke shape),
+# and BENCH_shard.json (multi-shard scale-out vs one engine, smoke
+# shape) in the repository root, then validates their common schema.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -29,25 +26,16 @@ cargo test --workspace -q
 # once on the default (vectorized) path and once with the data path pinned
 # to the scalar oracle via the force-scalar feature.
 cargo test -q -p mpspmm-core --test engine_oracle
-# The same oracle suite with the auto-tuner live on every engine
-# (MPSPMM_TUNE): arms only select among already-pinned strategies, so
-# exploration must never leave the oracle tolerance. (The fused_oracle
-# suite asserts run-to-run *bit* equality and would be perturbed by arm
-# switching mid-exploration; it stays untuned by design.)
-MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test engine_oracle
-# The SpGEMM oracle suite under live tuning: accumulator arms only move
-# rows between bit-identical strategies, so exploration runs must stay
-# bit-equal to the sequential oracle.
-MPSPMM_TUNE=1 cargo test -q -p mpspmm-core --test spgemm_oracle
 cargo test -q -p mpspmm-core --features force-scalar
-# The work-stealing scheduler, the SpGEMM engine, and the block-diagonal
+# Auto's routing (inline, static pooled, column-striped) keeps each
+# route's output contract, and the SpGEMM engine and the block-diagonal
 # mega-batch path promise bit-identical output at any worker count: pin
 # the resolved count to a matrix of values and re-run their property
 # tests (debug build, invariant asserts live). batch_oracle sweeps
 # packed-vs-sequential across DataPath x SchedPolicy, including empty
 # graphs and single-graph windows.
 for w in 1 2 8; do
-  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_stealing
+  MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test engine_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test spgemm_oracle
   MPSPMM_WORKERS=$w cargo test -q -p mpspmm-core --test batch_oracle
 done
@@ -69,7 +57,6 @@ done
 cargo run --release -p mpspmm-bench --bin bench_engine
 cargo run --release -p mpspmm-bench --bin bench_simd
 cargo run --release -p mpspmm-bench --bin bench_serve -- --smoke
-cargo run --release -p mpspmm-bench --bin bench_steal -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_fused -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_widedim -- --smoke
 cargo run --release -p mpspmm-bench --bin bench_spgemm -- --smoke
@@ -81,12 +68,4 @@ cargo run --release -p mpspmm-bench --bin bench_batch -- --smoke
 # shard x worker cell against the sequential oracle plus the modeled
 # bandwidth-domain scaling curve (the 2.5x floor is full-mode only).
 cargo run --release -p mpspmm-bench --bin bench_shard -- --smoke
-# Auto-tuner bench under a throwaway calibration directory: one run
-# proves both the cold start (exploration under the overhead bound) and
-# the warm restart (a rebuilt engine + tuner pair re-admits every plan
-# from the persisted table with zero explorations).
-calib_dir="$(mktemp -d)"
-trap 'rm -rf "$calib_dir"' EXIT
-MPSPMM_CALIB_PATH="$calib_dir/calib.v1" \
-  cargo run --release -p mpspmm-bench --bin bench_autotune -- --smoke
 scripts/check_bench_schema.sh
