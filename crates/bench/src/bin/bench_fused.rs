@@ -9,7 +9,7 @@
 //!   naive zero-skip GEMM for every layer's combination, plain cached
 //!   SpMM for the aggregation, then bias and activation as separate
 //!   serial passes over the output;
-//! * **fused** — [`GcnModel::forward_cached`]: hidden-layer combinations
+//! * **fused** — [`GcnModel::forward_cached`]: every layer's combination
 //!   on [`ExecEngine::gemm`] (register-tiled bands, no per-element
 //!   branch), bias + activation fused into the SpMM store stage.
 //!
@@ -21,13 +21,16 @@
 //! single-worker `execute_prepared` vs `execute_prepared_fused` with
 //! [`Epilogue::None`] on the same prepared plan (the acceptance bound is
 //! ≤ 2% regression) — and reports the GEMM/SpMM wall-time split of one
-//! fused forward pass from [`EngineStats::gemm_ns`].
+//! fused forward pass from
+//! [`EngineStats::gemm_ns`](mpspmm_core::EngineStats::gemm_ns). It also
+//! prints the layer-0 combination — the zero-skip loop vs the engine GEMM
+//! at one and all workers — on five raw-feature shapes (DESIGN.md §2.10).
 //!
 //! Writes `BENCH_fused.json`. Pass `--smoke` for a seconds-fast run on
 //! scaled-down graphs.
 
 use mpspmm_bench::{geomean, time_ns, SEED};
-use mpspmm_core::{Epilogue, ExecEngine, MergePathSpmm, SpmmKernel};
+use mpspmm_core::{default_workers, Epilogue, ExecEngine, MergePathSpmm, SpmmKernel};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
 use mpspmm_gcn::{GcnLayer, GcnModel};
 use mpspmm_graphs::{gcn_normalize, DatasetSpec, GraphClass};
@@ -169,8 +172,9 @@ fn main() {
         for dim in DIMS {
             let layers = model_layers(dim);
             let model = build_model(&layers);
-            // Raw input features in the bag-of-words density regime both
-            // pipelines handle with the same zero-skipping layer-0 GEMM.
+            // Raw input features in the bag-of-words density regime: the
+            // unfused pipeline's layer 0 runs the zero-skipping GEMM, the
+            // fused one the engine GEMM.
             let x = random_features(a.rows(), dim, 0.05, 33);
             for workers in WORKER_COUNTS {
                 let engine = ExecEngine::new(workers);
@@ -244,6 +248,45 @@ fn main() {
             naive_ns / engine_ns
         );
         gemm_only.push((dim, naive_ns, engine_ns));
+    }
+
+    // --- Layer-0 GEMM: the zero-skip loop vs the engine GEMM on raw
+    // feature shapes (nodes x features at a non-zero density, 16 output
+    // columns), the operand every forward's first combination sees.
+    // Smoke mode shrinks the row counts 32-fold.
+    const RAW_SHAPES: [(&str, usize, usize, f64); 5] = [
+        ("cora-like", 2_708, 1_433, 0.013),
+        ("pubmed-like", 19_717, 500, 0.10),
+        ("100k-512", 100_000, 512, 0.02),
+        ("com-amazon", 334_863, 64, 0.20),
+        ("com-amazon-dense", 334_863, 64, 1.0),
+    ];
+    let mut layer0_workers = vec![1, default_workers()];
+    layer0_workers.dedup();
+    for (name, rows, cols, density) in RAW_SHAPES {
+        let rows = if smoke { rows / 32 } else { rows };
+        let x = random_features(rows, cols, density, 79);
+        let w = xavier_init(cols, 16, 80);
+        let naive_ns = time_ns(warm, iters, || {
+            std::hint::black_box(gemm(&x, &w).unwrap());
+        });
+        let mut line = format!(
+            "layer-0 gemm ({name}, {rows}x{cols} at {density} . {cols}x16): naive {:.2} ms",
+            naive_ns / 1e6
+        );
+        for &workers in &layer0_workers {
+            let engine = ExecEngine::new(workers);
+            let engine_ns = time_ns(warm, iters, || {
+                let out = engine.gemm(&x, &w).unwrap();
+                engine.recycle(out);
+            });
+            line += &format!(
+                ", engine {workers}w {:.2} ms ({:.2}x)",
+                engine_ns / 1e6,
+                naive_ns / engine_ns
+            );
+        }
+        println!("{line}");
     }
 
     // --- SpMM-only fusion overhead: the epilogue plumbing must be free

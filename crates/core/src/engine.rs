@@ -7,7 +7,7 @@
 //! initialize and convert that atomic buffer. [`ExecEngine`] removes all
 //! of that overhead while preserving the executors' semantics:
 //!
-//! * **Persistent workers** ([`crate::pool`]): logical threads are
+//! * **Persistent workers** (`pool` module): logical threads are
 //!   partitioned statically over long-lived pool workers, so repeated
 //!   SpMM calls (a GNN forward pass is many of them) stop paying thread
 //!   spawn/join.
@@ -22,7 +22,7 @@
 //!   static path performs no atomic operations at all; `Flush::Carry`
 //!   segments stay thread-local and are added serially after the join,
 //!   exactly like the baseline.
-//! * **Vectorized, cache-blocked data path** ([`crate::datapath`]): each
+//! * **Vectorized, cache-blocked data path** (`datapath` module): each
 //!   segment runs through a [`DataPath`]-selected inner kernel — by
 //!   default the wide-lane streaming kernels (16/8 f32 register
 //!   accumulators, runtime lane detection, L1-sized column panels) with
@@ -44,7 +44,7 @@
 //!   switches to column striping ([`SchedPolicy::ColumnStriped`]) only
 //!   at wide dense dimensions, where the per-stripe index re-walk pays
 //!   for itself.
-//! * **Buffer arena** ([`crate::arena`]): output, batch-interleave, and
+//! * **Buffer arena** (`arena` module): output, batch-interleave, and
 //!   shared-row scratch buffers are pooled per engine and checked out per
 //!   execution, so steady-state inference allocates nothing. Outputs
 //!   leave the engine as [`DenseMatrix`] values; callers hand them back
@@ -433,7 +433,7 @@ pub enum SchedPolicy {
     /// engine scheduler). Near-optimal for merge-path plans, which are
     /// nnz-balanced per logical thread by construction.
     Static,
-    /// Column-striped execution ([`crate::stripe`]): each worker owns a
+    /// Column-striped execution (`stripe` module): each worker owns a
     /// contiguous feature-column stripe of *all* rows and replays the
     /// full plan walk over it — no shared rows, no strip folding, no
     /// cross-worker carries, and output bit-identical to the sequential
@@ -676,7 +676,7 @@ impl ExecEngine {
     /// Under the `MPSPMM_PIN=1` opt-in the private pool's workers pin
     /// to consecutive CPU cores starting at
     /// [`with_pin_base`](Self::with_pin_base) (default 0); see the
-    /// [`crate::pool`] docs for the best-effort semantics.
+    /// `pool` module docs for the best-effort semantics.
     ///
     /// # Panics
     ///

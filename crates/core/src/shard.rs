@@ -4,7 +4,7 @@
 //! [`ShardedEngine`] runs one *large* graph across S engines by
 //! partitioning the adjacency into contiguous, merge-item-balanced row
 //! bands ([`mpspmm_sparse::ShardedCsr`]) and giving every band its own
-//! engine — private [`crate::arena`] `BufferArena`, private plan cache,
+//! engine — private `BufferArena`, private plan cache,
 //! private worker pool sized to `total_workers / S`
 //! ([`ExecEngine::with_worker_count`]), and staggered pin bases so
 //! `MPSPMM_PIN=1` lays shard `s`'s workers on cores
@@ -29,7 +29,7 @@
 //! # Bit-identity
 //!
 //! Sharded output is **bit-identical** to the unsharded engine and to
-//! [`execute_sequential`](crate::spmm::execute_sequential) at every
+//! [`execute_sequential`](crate::executor::execute_sequential) at every
 //! shard × worker combination, by composition of three facts:
 //!
 //! * Shard plans come from [`BatchMergeSpmm`], whose merge-path

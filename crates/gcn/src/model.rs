@@ -160,11 +160,11 @@ impl GcnLayer {
     /// (`GraphStream::generation` in `mpspmm-graphs` is the intended
     /// source).
     ///
-    /// Use this entry point when `h` is dense (hidden-layer activations);
-    /// for the moderately sparse raw feature matrix of a model's first
-    /// layer, [`forward_cached_sparse_features`]
-    /// (Self::forward_cached_sparse_features) keeps the zero-skipping
-    /// combination instead.
+    /// `h` may be dense hidden activations or a model's moderately sparse
+    /// raw features: the engine GEMM beats the zero-skipping
+    /// [`ops::gemm`](crate::ops::gemm) oracle at every raw-feature shape
+    /// measured (DESIGN.md §2.10) and computes the same bits up to the
+    /// sign of zero.
     ///
     /// # Errors
     ///
@@ -182,11 +182,8 @@ impl GcnLayer {
         self.aggregate_fused(a_hat, hw, kernel, engine, epoch)
     }
 
-    /// [`forward_cached`](Self::forward_cached) for a *moderately sparse*
-    /// dense-stored `h` (a model's raw input features): the combination
-    /// uses the naive zero-skipping GEMM — most products are against
-    /// stored zeros there, so the per-element branch pays for itself —
-    /// while the aggregation still runs fused on the engine.
+    /// Identical to [`forward_cached`](Self::forward_cached); kept as a
+    /// name for callers that pass a model's raw input features.
     ///
     /// # Errors
     ///
@@ -200,8 +197,7 @@ impl GcnLayer {
         engine: &ExecEngine,
         epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let hw = gemm(h, &self.weight)?;
-        self.aggregate_fused(a_hat, hw, kernel, engine, epoch)
+        self.forward_cached(a_hat, h, kernel, engine, epoch)
     }
 
     /// The shared aggregation tail of the cached paths: fused epilogue
@@ -427,10 +423,8 @@ impl GcnModel {
     /// entirely; each layer is one engine GEMM plus one SpMM with the
     /// bias/activation epilogue fused into the store stage.
     ///
-    /// Layer 0 consumes the raw feature matrix — moderately sparse, so
-    /// its combination keeps the zero-skipping GEMM
-    /// ([`GcnLayer::forward_cached_sparse_features`]); hidden layers'
-    /// dense activations go through the engine's blocked GEMM.
+    /// Every layer, layer 0's raw features included, combines on the
+    /// engine's blocked GEMM ([`ExecEngine::gemm`]).
     ///
     /// Inter-layer activations ping-pong through the engine's buffer
     /// arena: each layer's input is recycled as soon as the next
@@ -449,13 +443,31 @@ impl GcnModel {
         engine: &ExecEngine,
         epoch: u64,
     ) -> Result<DenseMatrix<f32>, SparseFormatError> {
-        let mut h =
-            self.layers[0].forward_cached_sparse_features(a_hat, x, kernel, engine, epoch)?;
-        for layer in &self.layers[1..] {
-            let next = layer.forward_cached(a_hat, &h, kernel, engine, epoch)?;
-            engine.recycle(std::mem::replace(&mut h, next));
+        self.run_layers(x, engine, |layer, h| {
+            layer.forward_cached(a_hat, h, kernel, engine, epoch)
+        })
+    }
+
+    /// Runs `step` over the layers in order, feeding each the previous
+    /// layer's output (`x` for layer 0) and recycling every consumed
+    /// activation into `engine`'s arena.
+    fn run_layers(
+        &self,
+        x: &DenseMatrix<f32>,
+        engine: &ExecEngine,
+        mut step: impl FnMut(
+            &GcnLayer,
+            &DenseMatrix<f32>,
+        ) -> Result<DenseMatrix<f32>, SparseFormatError>,
+    ) -> Result<DenseMatrix<f32>, SparseFormatError> {
+        let mut h: Option<DenseMatrix<f32>> = None;
+        for layer in &self.layers {
+            let next = step(layer, h.as_ref().unwrap_or(x))?;
+            if let Some(prev) = h.replace(next) {
+                engine.recycle(prev);
+            }
         }
-        Ok(h)
+        Ok(h.expect("model has at least one layer"))
     }
 
     /// Full forward pass on a [`ShardedEngine`]: every layer's dense
@@ -465,11 +477,10 @@ impl GcnModel {
     /// form (sigmoid falls back to a separate element-wise pass, exactly
     /// as [`forward_cached`](Self::forward_cached) does).
     ///
-    /// Unlike `forward_cached`, layer 0's combination uses the engines'
-    /// blocked dense GEMM rather than the zero-skipping sparse-features
-    /// GEMM — sharded forwards at *every* shard count therefore agree
-    /// bit-for-bit with each other (S=1 is the oracle for S>1), which is
-    /// the invariant `shard_oracle` sweeps.
+    /// Every layer's combination, layer 0 included, uses the engines'
+    /// blocked dense GEMM, so sharded forwards at *every* shard count
+    /// agree bit-for-bit with each other (S=1 is the oracle for S>1),
+    /// which is the invariant `shard_oracle` sweeps.
     ///
     /// # Errors
     ///
@@ -534,14 +545,7 @@ impl GcnModel {
             let mut products = Vec::with_capacity(blocks.len());
             for j in 0..blocks.len() {
                 let h = if i == 0 { blocks[j] } else { &hs[j] };
-                // Layer 0 sees the requests' moderately sparse raw
-                // features (zero-skipping GEMM); hidden layers see dense
-                // activations (engine blocked GEMM).
-                products.push(if i == 0 {
-                    gemm(h, &layer.weight)?
-                } else {
-                    engine.gemm(h, &layer.weight)?
-                });
+                products.push(engine.gemm(h, &layer.weight)?);
             }
             let refs: Vec<&DenseMatrix<f32>> = products.iter().collect();
             // Every block in a model batch has this layer's output width,
@@ -634,26 +638,16 @@ impl GcnModel {
                 right: (stacked.rows(), stacked.cols()),
             });
         }
-        // Every combination — layer 0 included — runs on the engine's
-        // k-blocked GEMM: stacked request features behave like dense
-        // activations (thousands of unrelated rows), so the zero-skip
-        // branch of the sparse-features path would only cost.
-        //
         // Aggregation deliberately skips the fused epilogue: at
         // mega-batch row counts the per-row fused bookkeeping costs more
         // than one flat bias/activation sweep over the finished output,
         // and `spmm → epilogue` is element-for-element identical to the
         // fused composition (DESIGN.md §2.10), so bit-identity with the
         // per-graph oracle is preserved.
-        let first = &self.layers[0];
-        let hw = engine.gemm(stacked, &first.weight)?;
-        let mut h = first.aggregate_mega(a_hat, hw, prep, engine)?;
-        for layer in &self.layers[1..] {
-            let hw = engine.gemm(&h, &layer.weight)?;
-            let next = layer.aggregate_mega(a_hat, hw, prep, engine)?;
-            engine.recycle(std::mem::replace(&mut h, next));
-        }
-        Ok(h)
+        self.run_layers(stacked, engine, |layer, h| {
+            let hw = engine.gemm(h, &layer.weight)?;
+            layer.aggregate_mega(a_hat, hw, prep, engine)
+        })
     }
 
     /// Sum of all layers' output widths — the Σd term of the two-hop
@@ -699,24 +693,12 @@ impl GcnModel {
                 let a2 = engine.spgemm(a_hat, a_hat)?;
                 self.forward_cached(&a2, x, kernel, engine, epoch | 1 << 63)
             }
-            _ => {
-                let mut h: Option<DenseMatrix<f32>> = None;
-                for layer in &self.layers {
-                    // Layer 0 keeps the zero-skipping combination for the
-                    // moderately sparse raw features, like forward_cached.
-                    let hw = match &h {
-                        None => gemm(x, &layer.weight)?,
-                        Some(prev) => engine.gemm(prev, &layer.weight)?,
-                    };
-                    let (inner, _) = engine.spmm_cached(kernel, a_hat, &hw, epoch)?;
-                    engine.recycle(hw);
-                    let out = layer.aggregate_fused(a_hat, inner, kernel, engine, epoch)?;
-                    if let Some(prev) = h.replace(out) {
-                        engine.recycle(prev);
-                    }
-                }
-                Ok(h.expect("model has at least one layer"))
-            }
+            _ => self.run_layers(x, engine, |layer, h| {
+                let hw = engine.gemm(h, &layer.weight)?;
+                let (inner, _) = engine.spmm_cached(kernel, a_hat, &hw, epoch)?;
+                engine.recycle(hw);
+                layer.aggregate_fused(a_hat, inner, kernel, engine, epoch)
+            }),
         }
     }
 }

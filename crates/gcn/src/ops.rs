@@ -8,14 +8,13 @@ use rand::{Rng, SeedableRng};
 /// Dense matrix multiplication `A × B` (row-major, ikj loop order) with a
 /// per-element `a == 0.0` skip.
 ///
-/// This is the `X × W` step of **layer 0** of a GNN, where `X` is the
-/// moderately sparse raw feature matrix and the skip pays for itself
-/// (most products are against zero). Hidden layers — whose activations
-/// are dense — go through the engine's blocked, register-tiled GEMM
-/// ([`mpspmm_core::ExecEngine::gemm`]) instead, which drops the branch
-/// entirely; the two agree bit-for-bit on every product the skip doesn't
-/// turn into a skipped `+ 0.0` (i.e. everywhere, up to the sign of
-/// zeros — see the `gemm_dense_vs_naive` property test).
+/// This is the single-threaded **reference** GEMM: the plain `forward`
+/// paths and the tests use it as the oracle. Every engine forward path,
+/// layer 0's raw features included, combines on the blocked,
+/// register-tiled [`mpspmm_core::ExecEngine::gemm`] instead, which is
+/// faster even on sparse raw features (DESIGN.md §2.10). The two agree
+/// bit-for-bit up to the sign of zeros (the `gemm_dense_vs_naive` and
+/// `gemm_matches_skip_oracle_on_sparse_features` property tests).
 ///
 /// # Errors
 ///

@@ -11,9 +11,9 @@
 //! passes) to numerical tolerance, pinning the whole pipeline — not just
 //! the fusion delta — to the original semantics.
 
-use mpspmm_core::{default_workers, DataPath, ExecEngine, MergePathSpmm, SchedPolicy};
+use mpspmm_core::{default_workers, DataPath, Epilogue, ExecEngine, MergePathSpmm, SchedPolicy};
 use mpspmm_gcn::ops::{gemm, random_features, xavier_init, Activation};
-use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer};
+use mpspmm_gcn::{GcnLayer, GinLayer, SageMeanLayer, TwoHopPath};
 use mpspmm_graphs::{gcn_normalize, mean_normalize, sum_with_self_loops, DatasetSpec, GraphClass};
 use mpspmm_sparse::{CsrMatrix, DenseMatrix};
 
@@ -329,5 +329,95 @@ fn forward_sharded_agrees_bitwise_across_shard_counts() {
                 "shards={shards} workers={total_workers}"
             );
         }
+    }
+}
+
+/// Layer 0 of every engine forward path combines a model's raw features
+/// on the engine GEMM. On a bag-of-words-sparse feature matrix with
+/// whole zero rows, each path must stay `==` to the composition that ran
+/// layer 0 on the zero-skipping `ops::gemm` and everything else on the
+/// same engine primitives.
+#[test]
+fn layer0_engine_gemm_matches_zero_skip_composition() {
+    const RAW_DIM: usize = 300;
+    let a = gcn_normalize(&graph());
+    let raw = |seed: u64| {
+        let mut x = random_features(NODES, RAW_DIM, 0.03, seed);
+        for r in (seed as usize % 3..NODES).step_by(3) {
+            x.row_mut(r).fill(0.0);
+        }
+        x
+    };
+    let (x, x2) = (raw(35), raw(36));
+    let (w0, w1) = (xavier_init(RAW_DIM, 16, 90), xavier_init(16, 4, 91));
+    let (b0, b1): (Vec<f32>, Vec<f32>) = (
+        (0..16).map(|j| j as f32 * 0.0625 - 0.5).collect(),
+        vec![0.25, -0.25, 0.5, 0.0],
+    );
+    let model = mpspmm_gcn::GcnModel::new(vec![
+        GcnLayer::with_bias(w0.clone(), b0.clone(), Activation::Relu),
+        GcnLayer::with_bias(w1.clone(), b1.clone(), Activation::Identity),
+    ]);
+    let (epi0, epi1) = (Epilogue::BiasRelu(b0.clone()), Epilogue::Bias(b1.clone()));
+    let kernel = MergePathSpmm::with_threads(13);
+    let (hw0, hw0_2) = (gemm(&x, &w0).unwrap(), gemm(&x2, &w0).unwrap());
+    for &(path, policy, workers) in &engine_matrix() {
+        let engine = ExecEngine::with_sched_policy(workers, path, policy);
+        let label = format!("path={path:?} policy={policy:?} workers={workers}");
+
+        // forward_cached: fused cached aggregation per layer.
+        let got = model.forward_cached(&a, &x, &kernel, &engine, 0).unwrap();
+        let (h0, _) = engine
+            .spmm_cached_fused(&kernel, &a, &hw0, 0, &epi0)
+            .unwrap();
+        let hw1 = engine.gemm(&h0, &w1).unwrap();
+        let (want, _) = engine
+            .spmm_cached_fused(&kernel, &a, &hw1, 0, &epi1)
+            .unwrap();
+        assert_eq!(got.as_slice(), want.as_slice(), "forward_cached {label}");
+
+        // forward_batched_prepared: one batched aggregation per layer
+        // with the per-block bias tiled across the batch.
+        let prep = engine.plan_cached(&kernel, &a, model.max_features(), 0);
+        let got = model
+            .forward_batched_prepared(&a, &prep, &[&x, &x2], &engine)
+            .unwrap();
+        let tiled0 = Epilogue::BiasRelu(b0.repeat(2));
+        let h0 = engine
+            .execute_prepared_batch_fused(&prep, &a, &[&hw0, &hw0_2], &tiled0)
+            .unwrap();
+        let (hw1, hw1_2) = (
+            engine.gemm(&h0[0], &w1).unwrap(),
+            engine.gemm(&h0[1], &w1).unwrap(),
+        );
+        let tiled1 = Epilogue::Bias(b1.repeat(2));
+        let want = engine
+            .execute_prepared_batch_fused(&prep, &a, &[&hw1, &hw1_2], &tiled1)
+            .unwrap();
+        assert_eq!(got.len(), 2);
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(
+                g.as_slice(),
+                w.as_slice(),
+                "forward_batched_prepared {label}"
+            );
+        }
+
+        // forward_two_hop, chained: Â · (Â · HW) with the epilogue fused
+        // into the outer aggregation.
+        let got = model
+            .forward_two_hop(&a, &x, &kernel, &engine, 0, TwoHopPath::Chained)
+            .unwrap();
+        let (inner, _) = engine.spmm_cached(&kernel, &a, &hw0, 0).unwrap();
+        let (h0, _) = engine
+            .spmm_cached_fused(&kernel, &a, &inner, 0, &epi0)
+            .unwrap();
+        let (inner, _) = engine
+            .spmm_cached(&kernel, &a, &engine.gemm(&h0, &w1).unwrap(), 0)
+            .unwrap();
+        let (want, _) = engine
+            .spmm_cached_fused(&kernel, &a, &inner, 0, &epi1)
+            .unwrap();
+        assert_eq!(got.as_slice(), want.as_slice(), "forward_two_hop {label}");
     }
 }

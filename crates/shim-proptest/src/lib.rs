@@ -3,7 +3,7 @@
 //!
 //! The build environment has no crates.io access, so this vendored shim
 //! implements exactly the surface the workspace's property tests consume:
-//! the [`Strategy`] trait with `prop_map` / `prop_flat_map`, integer and
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_flat_map`, integer and
 //! float range strategies, tuple strategies, [`strategy::Just`],
 //! `prop_oneof!`, [`collection::vec`] / [`collection::btree_set`],
 //! [`arbitrary::any`], [`test_runner::ProptestConfig`], and the

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 gate: release build, lint wall, test suite (including a
+# Tier-1 gate: release build, lint and rustdoc walls, test suite (including a
 # debug-assert run of the engine-vs-oracle property tests), and the
 # benchmark artifacts.
 #
@@ -19,6 +19,9 @@ cd "$(dirname "$0")/.."
 cargo fmt --all -- --check
 cargo build --release
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc wall: unresolved intra-doc links and links from public docs to
+# private items fail the gate.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 cargo test -q
 cargo test --workspace -q
 # Debug build (debug_assertions on): overflow checks and the engine's
